@@ -18,14 +18,40 @@ import pytest
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
-def peak_rss_mb() -> float:
-    """The process's lifetime peak resident set size, in MiB.
+#: Linux: writing ``5`` here resets the ``VmHWM`` high-water mark.
+_CLEAR_REFS = Path("/proc/self/clear_refs")
+_STATUS = Path("/proc/self/status")
 
-    ``ru_maxrss`` is kibibytes on Linux and bytes on macOS; either way
-    it is a high-water mark, so benchmarks that want a per-phase figure
-    should read it immediately after the phase of interest (the value
-    never decreases).
+
+def reset_peak_rss() -> None:
+    """Start a new peak-RSS window: call at the start of each benchmark cell.
+
+    On Linux, writing ``5`` to ``/proc/self/clear_refs`` resets the
+    process's ``VmHWM`` to its current resident set size.  Where the
+    file is missing or not writable this does nothing, and
+    :func:`peak_rss_mb` reports the lifetime peak.
     """
+    try:
+        _CLEAR_REFS.write_text("5", encoding="ascii")
+    except OSError:
+        pass
+
+
+def peak_rss_mb() -> float:
+    """The peak resident set size since the last :func:`reset_peak_rss`, in MiB.
+
+    On Linux this reads ``VmHWM`` from ``/proc/self/status``, which
+    :func:`reset_peak_rss` resets, so each cell reports its own peak.
+    Elsewhere it falls back to ``ru_maxrss`` — kibibytes on Linux,
+    bytes on macOS — which is the process's *lifetime* peak and never
+    decreases.
+    """
+    try:
+        for line in _STATUS.read_text(encoding="ascii").splitlines():
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     if sys.platform == "darwin":  # pragma: no cover - linux CI
         peak //= 1024

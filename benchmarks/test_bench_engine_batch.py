@@ -26,7 +26,7 @@ import pytest
 
 pytest.importorskip("numpy")
 
-from benchmarks.conftest import RESULTS_DIR, peak_rss_mb
+from benchmarks.conftest import RESULTS_DIR, peak_rss_mb, reset_peak_rss
 from repro.adversary import (
     RandomCorruptionAdversary,
     RandomOmissionAdversary,
@@ -82,6 +82,7 @@ def test_bench_batch_engine_speedup():
     """Batch backend ≥ 5× over fast for the fixed-horizon 1000-seed cell."""
     measurements = {}
     for name, (runs, min_rounds, factory, floor) in CELLS.items():
+        reset_peak_rss()
         started = time.perf_counter()
         fast_results = [
             run_simulation(
@@ -108,9 +109,7 @@ def test_bench_batch_engine_speedup():
             "batch_seconds": round(batch_seconds, 4),
             "speedup": round(fast_seconds / batch_seconds, 2),
             "floor": floor,
-            # Lifetime high-water mark up to this cell (ru_maxrss never
-            # decreases), so regressions show as jumps in the first cell
-            # that allocates more than everything before it.
+            # This cell's own high-water mark (see reset_peak_rss).
             "peak_rss_mb": round(peak_mb, 1),
         }
 

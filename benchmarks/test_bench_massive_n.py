@@ -27,7 +27,7 @@ import pytest
 
 pytest.importorskip("numpy")
 
-from benchmarks.conftest import RESULTS_DIR, peak_rss_mb
+from benchmarks.conftest import RESULTS_DIR, peak_rss_mb, reset_peak_rss
 from repro.adversary import RandomOmissionAdversary
 from repro.algorithms import AteAlgorithm
 from repro.runner.records import RunRecord
@@ -81,6 +81,7 @@ def test_bench_massive_n_packed_sweeps():
     """Packed tier ≥ 3× over fast at n = 1024 under a 2 GB budget."""
     measurements = {}
     for n, (runs, fast_runs, budget, floor) in SWEEPS.items():
+        reset_peak_rss()
         started = time.perf_counter()
         fast_results = [
             run_simulation(

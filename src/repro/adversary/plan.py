@@ -15,7 +15,10 @@ Two kinds of planner exist:
   the same order as its matrix-level ``deliver_round`` would, so the
   produced ``HO``/``SHO`` collections are bit-for-bit identical.  They
   are registered per *exact* adversary class (subclasses may override
-  behaviour, so they fall back to the adapter).
+  behaviour, so they fall back to the adapter).  The planners of the
+  wrappers (liveness structure, caps, schedules) compose over the
+  planner of their inner adversary, so a native inner adversary stays
+  native under any stack of wrappers.
 * :class:`MatrixPlanAdapter` wraps **any** matrix-level adversary
   unchanged: it materialises the broadcast intended matrix in the same
   iteration order as the lockstep engine, calls ``deliver_round``, and
@@ -42,15 +45,31 @@ importable.
 
 from __future__ import annotations
 
+import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from repro.adversary.base import Adversary, ReliableAdversary
-from repro.adversary.benign import RandomOmissionAdversary
+from repro.adversary.benign import PartitionAdversary, RandomOmissionAdversary
+from repro.adversary.byzantine import StaticByzantineAdversary
+from repro.adversary.compose import (
+    AlphaCapAdversary,
+    LatencyAdversary,
+    MinimumSafeDeliveryAdversary,
+    RoundScheduleAdversary,
+    SequentialAdversary,
+)
 from repro.adversary.corruption import (
     RandomCorruptionAdversary,
     RotatingSenderCorruptionAdversary,
+    SplitVoteAdversary,
+)
+from repro.adversary.liveness import (
+    PartialGoodRoundAdversary,
+    PeriodicGoodPhaseAdversary,
+    PeriodicGoodRoundAdversary,
 )
 from repro.adversary.santoro_widmayer import BlockFaultAdversary
 from repro.adversary.values import corrupt_value
@@ -102,6 +121,16 @@ class MaskPlanner(ABC):
         """Re-seed the underlying adversary (replaying the schedule)."""
         self.adversary.reset()
 
+    @property
+    def adapter_planned(self) -> bool:
+        """Whether :class:`MatrixPlanAdapter` plans rounds of this run.
+
+        Planners composed over other planners answer for every planner
+        they have used, so engines can report a run that left the
+        native path.
+        """
+        return False
+
     def describe(self) -> str:
         return self.adversary.describe()
 
@@ -139,6 +168,10 @@ class MatrixPlanAdapter(MaskPlanner):
             s: dict.fromkeys(self._pids, unset) for s in self._pids
         }
         self._row_payloads: List[Payload] = [unset] * n
+
+    @property
+    def adapter_planned(self) -> bool:
+        return True
 
     def plan_round(self, round_num: int, sent: Sequence[Payload]) -> RoundPlan:
         n = self.n
@@ -395,6 +428,314 @@ class BlockFaultPlanner(MaskPlanner):
         return RoundPlan(self._zeros, tuple(cmasks), tuple(cvals))
 
 
+class PartitionPlanner(MaskPlanner):
+    """Native planner for :class:`PartitionAdversary`.
+
+    A message crosses only within a group and no RNG is drawn, so every
+    round has the same plan, computed once.  Receivers outside every
+    group hear nobody.
+    """
+
+    def __init__(self, adversary: PartitionAdversary, n: int) -> None:
+        super().__init__(adversary, n)
+        heard = [0] * n
+        for group in adversary.groups:
+            members = [pid for pid in group if 0 <= pid < n]
+            mask = sum(1 << pid for pid in members)
+            for pid in members:
+                heard[pid] = mask
+        full = (1 << n) - 1
+        zeros = (0,) * n
+        self._plan = RoundPlan(tuple(full & ~mask for mask in heard), zeros, (None,) * n)
+
+    def plan_round(self, round_num: int, sent: Sequence[Payload]) -> RoundPlan:
+        return self._plan
+
+
+class SplitVotePlanner(MaskPlanner):
+    """Native planner for :class:`SplitVoteAdversary` (no RNG).
+
+    Receivers ``p < n/2`` form the camp of ``value_a``, the rest the
+    camp of ``value_b``.  Each receiver gets its camp's target from the
+    first ``budget_per_receiver`` senders, in ascending order, whose
+    payload ``!=`` the target — the same senders for the whole camp.
+    """
+
+    def __init__(self, adversary: SplitVoteAdversary, n: int) -> None:
+        super().__init__(adversary, n)
+        self._zeros: Tuple[int, ...] = (0,) * n
+        self._split = (n + 1) // 2  # receivers 0 .. split-1 satisfy p < n/2
+
+    def plan_round(self, round_num: int, sent: Sequence[Payload]) -> RoundPlan:
+        adversary = self.adversary
+        budget = adversary.budget_per_receiver
+        cmasks: list = []
+        cvals: list = []
+        for target, size in ((adversary.value_a, self._split), (adversary.value_b, self.n - self._split)):
+            mask = 0
+            values: Optional[Dict[ProcessId, Payload]] = None
+            if budget:
+                chosen = [s for s, payload in enumerate(sent) if payload != target][:budget]
+                if chosen:
+                    mask = sum(1 << s for s in chosen)
+                    values = dict.fromkeys(chosen, target)
+            cmasks.extend([mask] * size)
+            cvals.extend([values] * size)
+        return RoundPlan(self._zeros, tuple(cmasks), tuple(cvals))
+
+
+class StaticByzantinePlanner(MaskPlanner):
+    """Native planner for :class:`StaticByzantineAdversary`.
+
+    Replays ``begin_round`` and then ``fate`` in sender-major order.  In
+    symmetric mode ``begin_round`` draws one ``corrupt_value`` per
+    Byzantine sender in ascending order — ids outside ``Pi`` included,
+    against a ``None`` original.  Per edge of a Byzantine sender,
+    ``fate`` draws a drop variate when ``drop_probability`` is non-zero
+    and otherwise a ``corrupt_value``.  In symmetric mode that value is
+    thrown away: ``fate`` evaluates it eagerly as the default argument
+    of ``dict.get`` and delivers the pre-drawn round value instead.  The
+    planner replays this discarded draw too, because it advances the
+    RNG.
+    """
+
+    def __init__(self, adversary: StaticByzantineAdversary, n: int) -> None:
+        super().__init__(adversary, n)
+        self._zeros: Tuple[int, ...] = (0,) * n
+
+    def plan_round(self, round_num: int, sent: Sequence[Payload]) -> RoundPlan:
+        adversary = self.adversary
+        rng = adversary.rng
+        domain = adversary.value_domain
+        n = self.n
+        byzantine = sorted(adversary.byzantine)
+        round_values = None
+        if not adversary.equivocate:
+            round_values = {
+                s: corrupt_value(rng, sent[s] if 0 <= s < n else None, domain) for s in byzantine
+            }
+
+        p_drop = adversary.drop_probability
+        drops = [0] * n
+        cmasks = [0] * n
+        cvals: list = [None] * n
+        for sender in byzantine:
+            if not 0 <= sender < n:
+                continue
+            bit = 1 << sender
+            payload = sent[sender]
+            for receiver in range(n):
+                if p_drop and rng.random() < p_drop:
+                    drops[receiver] |= bit
+                    continue
+                value = corrupt_value(rng, payload, domain)
+                if round_values is not None:
+                    value = round_values[sender]
+                cmasks[receiver] |= bit
+                per_receiver = cvals[receiver]
+                if per_receiver is None:
+                    per_receiver = cvals[receiver] = {}
+                per_receiver[sender] = value
+        return RoundPlan(tuple(drops), tuple(cmasks), tuple(cvals))
+
+
+# ----------------------------------------------------------------------
+# Planners of the wrappers: composed over the inner adversary's planner
+# ----------------------------------------------------------------------
+class DelegatingPlanner(MaskPlanner):
+    """Native planner of a wrapper that hands each round, unchanged, to
+    one adversary — or makes it perfect.
+
+    ``handler(wrapper, round_num)`` names the adversary that handles the
+    round, or ``None`` for a perfect round.  A handled round is planned
+    by the handler's own planner (:func:`planner_for`), so the RNG is
+    consumed exactly as the handler's ``deliver_round`` would consume
+    it.  A perfect round consumes nothing: the matrix path never calls
+    the inner adversary on it.  The handler's planner is reused while
+    rounds name the same adversary object; it holds that object, so a
+    fresh adversary per round can never alias a dead one's planner.
+    """
+
+    def __init__(
+        self,
+        adversary: Adversary,
+        n: int,
+        handler: Callable[[Any, int], Optional[Adversary]],
+    ) -> None:
+        super().__init__(adversary, n)
+        self._handler = handler
+        self._perfect = RoundPlan.perfect(n)
+        self._current: Optional[Adversary] = None
+        self._planner: Optional[MaskPlanner] = None
+        self._retired_adapter = False
+
+    def plan_round(self, round_num: int, sent: Sequence[Payload]) -> RoundPlan:
+        handler = self._handler(self.adversary, round_num)
+        if handler is None:
+            return self._perfect
+        if handler is not self._current:
+            self._retired_adapter = self.adapter_planned
+            self._current = handler
+            self._planner = planner_for(handler, self.n)
+        return self._planner.plan_round(round_num, sent)
+
+    @property
+    def adapter_planned(self) -> bool:
+        return self._retired_adapter or (self._planner is not None and self._planner.adapter_planned)
+
+
+class LatencyPlanner(DelegatingPlanner):
+    """Native planner for :class:`LatencyAdversary`: sleep, then delegate."""
+
+    def __init__(self, adversary: LatencyAdversary, n: int) -> None:
+        super().__init__(adversary, n, lambda wrapper, round_num: wrapper.inner)
+
+    def plan_round(self, round_num: int, sent: Sequence[Payload]) -> RoundPlan:
+        time.sleep(self.adversary.delay_per_round)
+        return super().plan_round(round_num, sent)
+
+
+def _good_round_or_inner(wrapper: Any, round_num: int) -> Optional[Adversary]:
+    return None if wrapper.is_good_round(round_num) else wrapper.inner
+
+
+class _PostProcessPlanner(MaskPlanner):
+    """Base of the wrappers that rewrite the inner adversary's plan.
+
+    Rewrites build new per-receiver dicts: a plan is read-only, and the
+    inner planner may share its dicts between receivers.
+    """
+
+    def __init__(self, adversary: Adversary, n: int) -> None:
+        super().__init__(adversary, n)
+        self.inner = planner_for(adversary.inner, n)
+
+    @property
+    def adapter_planned(self) -> bool:
+        return self.inner.adapter_planned
+
+
+def _restore(cvals: Optional[Dict[ProcessId, Payload]], restored: int) -> Optional[Dict[ProcessId, Payload]]:
+    """``cvals`` without the senders of mask ``restored`` (``None`` if emptied)."""
+    if cvals is None:
+        return None
+    return {s: v for s, v in cvals.items() if not restored >> s & 1} or None
+
+
+def _lowest_bits(mask: int, count: int) -> int:
+    """The ``count`` lowest set bits of ``mask``."""
+    kept = 0
+    while count > 0 and mask:
+        low = mask & -mask
+        kept |= low
+        mask ^= low
+        count -= 1
+    return kept
+
+
+def _known_mask(sent: Sequence[Payload]) -> int:
+    """Senders whose intended payload is not ``None``.
+
+    :class:`AlphaCapAdversary` and :class:`MinimumSafeDeliveryAdversary`
+    skip ``None`` intended payloads: such a sender is never counted as
+    corrupted or safe, and never restored.
+    """
+    return sum(1 << s for s, payload in enumerate(sent) if payload is not None)
+
+
+class AlphaCapPlanner(_PostProcessPlanner):
+    """Native planner for :class:`AlphaCapAdversary`.
+
+    Per receiver, corruptions beyond the first ``alpha`` senders (in
+    ascending order, counting only senders with a non-``None`` intended
+    payload) are undone.  No RNG beyond the inner planner's.
+    """
+
+    def plan_round(self, round_num: int, sent: Sequence[Payload]) -> RoundPlan:
+        plan = self.inner.plan_round(round_num, sent)
+        alpha = self.adversary.alpha
+        known = None
+        cmasks = list(plan.corrupt_masks)
+        cvals = list(plan.corrupt_values)
+        changed = False
+        for receiver, cmask in enumerate(cmasks):
+            if cmask.bit_count() <= alpha:
+                continue
+            if known is None:
+                known = _known_mask(sent)
+            corrupted = cmask & ~plan.drop_masks[receiver] & known
+            restored = corrupted & ~_lowest_bits(corrupted, alpha)
+            if restored:
+                cmasks[receiver] = cmask & ~restored
+                cvals[receiver] = _restore(cvals[receiver], restored)
+                changed = True
+        if not changed:
+            return plan
+        return RoundPlan(plan.drop_masks, tuple(cmasks), tuple(cvals))
+
+
+class MinimumSafeDeliveryPlanner(_PostProcessPlanner):
+    """Native planner for :class:`MinimumSafeDeliveryAdversary`.
+
+    Per receiver with fewer than ``minimum`` safe senders, the missing
+    senders are restored — undropped and uncorrupted — in ascending
+    order until ``|SHO| >= minimum``.  Senders whose intended payload
+    is ``None`` are neither counted as safe nor restored.  No RNG
+    beyond the inner planner's.
+    """
+
+    def plan_round(self, round_num: int, sent: Sequence[Payload]) -> RoundPlan:
+        plan = self.inner.plan_round(round_num, sent)
+        minimum = self.adversary.minimum
+        known = _known_mask(sent)
+        drops = list(plan.drop_masks)
+        cmasks = list(plan.corrupt_masks)
+        cvals = list(plan.corrupt_values)
+        changed = False
+        for receiver in range(self.n):
+            safe = known & ~drops[receiver] & ~cmasks[receiver]
+            short = minimum - safe.bit_count()
+            if short <= 0:
+                continue
+            restored = _lowest_bits(known & ~safe, short)
+            drops[receiver] &= ~restored
+            if cmasks[receiver] & restored:
+                cmasks[receiver] &= ~restored
+                cvals[receiver] = _restore(cvals[receiver], restored)
+            changed = True
+        if not changed:
+            return plan
+        return RoundPlan(tuple(drops), tuple(cmasks), tuple(cvals))
+
+
+class PartialGoodRoundPlanner(_PostProcessPlanner):
+    """Native planner for :class:`PartialGoodRoundAdversary`.
+
+    The inner round is always planned (the matrix path always calls the
+    inner adversary).  On a good round the ``pi1`` receivers then hear
+    exactly ``pi2 ∩ Pi``, safely.
+    """
+
+    def __init__(self, adversary: PartialGoodRoundAdversary, n: int) -> None:
+        super().__init__(adversary, n)
+        self._pi1 = sorted(p for p in adversary.pi1 if 0 <= p < n)
+        pi2_mask = sum(1 << s for s in adversary.pi2 if 0 <= s < n)
+        self._pi1_drop = ((1 << n) - 1) & ~pi2_mask
+
+    def plan_round(self, round_num: int, sent: Sequence[Payload]) -> RoundPlan:
+        plan = self.inner.plan_round(round_num, sent)
+        if not self.adversary.is_good_round(round_num) or not self._pi1:
+            return plan
+        drops = list(plan.drop_masks)
+        cmasks = list(plan.corrupt_masks)
+        cvals = list(plan.corrupt_values)
+        for receiver in self._pi1:
+            drops[receiver] = self._pi1_drop
+            cmasks[receiver] = 0
+            cvals[receiver] = None
+        return RoundPlan(tuple(drops), tuple(cmasks), tuple(cvals))
+
+
 #: Native planners, keyed by *exact* adversary class (subclasses may
 #: change delivery semantics, so they take the adapter path).
 _NATIVE_PLANNERS: Dict[Type[Adversary], Callable[[Adversary, int], MaskPlanner]] = {
@@ -403,6 +744,21 @@ _NATIVE_PLANNERS: Dict[Type[Adversary], Callable[[Adversary, int], MaskPlanner]]
     RandomCorruptionAdversary: RandomCorruptionPlanner,
     RotatingSenderCorruptionAdversary: RotatingCorruptionPlanner,
     BlockFaultAdversary: BlockFaultPlanner,
+    PartitionAdversary: PartitionPlanner,
+    SplitVoteAdversary: SplitVotePlanner,
+    StaticByzantineAdversary: StaticByzantinePlanner,
+    PeriodicGoodRoundAdversary: partial(DelegatingPlanner, handler=_good_round_or_inner),
+    PeriodicGoodPhaseAdversary: partial(DelegatingPlanner, handler=_good_round_or_inner),
+    SequentialAdversary: partial(
+        DelegatingPlanner, handler=SequentialAdversary.adversary_for_round
+    ),
+    RoundScheduleAdversary: partial(
+        DelegatingPlanner, handler=lambda wrapper, round_num: wrapper.schedule(round_num)
+    ),
+    LatencyAdversary: LatencyPlanner,
+    AlphaCapAdversary: AlphaCapPlanner,
+    MinimumSafeDeliveryAdversary: MinimumSafeDeliveryPlanner,
+    PartialGoodRoundAdversary: PartialGoodRoundPlanner,
 }
 
 

@@ -106,9 +106,10 @@ class AteKernel(StepKernel):
         if heard > self.threshold:
             if counts:
                 best = max(counts.values())
-                self.xs[receiver] = min(
-                    (v for v, c in counts.items() if c == best), key=_sort_key
-                )
+                candidate = min((v for v, c in counts.items() if c == best), key=_sort_key)
+                # AteProcess keeps its estimate when the winner is None.
+                if candidate is not None:
+                    self.xs[receiver] = candidate
             updated = True
 
         if self.nested_decision_guard and not updated:

@@ -36,7 +36,8 @@ work identically over either record type.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from functools import cached_property, reduce
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 try:  # NumPy is optional everywhere in this package: the word-array
     import numpy as _np  # helpers below degrade to a clear error without it.
@@ -253,8 +254,65 @@ class ReceptionVector:
         return frozenset(s for s, payload in self.received.items() if payload == value)
 
 
+class _MaskRoundView:
+    """The per-round reductions both record types derive from their masks.
+
+    Subclasses provide :attr:`receivers` and, aligned with it, the
+    ``ho_masks``/``sho_masks`` tuples (bit ``s`` set iff sender ``s``
+    is in ``HO``/``SHO`` of that receiver).  Kernels, spans and fault
+    counts are then single-word integer operations; the communication
+    predicates read the same three tuples.
+    """
+
+    __slots__ = ()
+
+    receivers: Sequence[ProcessId]
+    ho_masks: Tuple[int, ...]
+    sho_masks: Tuple[int, ...]
+
+    def kernel_mask(self) -> int:
+        return reduce(int.__and__, self.ho_masks) if self.ho_masks else 0
+
+    def safe_kernel_mask(self) -> int:
+        return reduce(int.__and__, self.sho_masks) if self.sho_masks else 0
+
+    def altered_span_mask(self) -> int:
+        # Perfect rounds share one tuple object for HO and SHO (both
+        # engines' fast paths) — nothing was altered, skip the walk.
+        if self.sho_masks is self.ho_masks:
+            return 0
+        span = 0
+        for ho, sho in zip(self.ho_masks, self.sho_masks):
+            span |= ho & ~sho
+        return span
+
+    def kernel(self) -> FrozenSet[ProcessId]:
+        """``K(r)``: processes heard of by every receiver at this round."""
+        return ids_from_mask(self.kernel_mask())
+
+    def safe_kernel(self) -> FrozenSet[ProcessId]:
+        """``SK(r)``: processes safely heard of by every receiver."""
+        return ids_from_mask(self.safe_kernel_mask())
+
+    def altered_span(self) -> FrozenSet[ProcessId]:
+        """``AS(r)``: processes from which someone received a corrupted message."""
+        return ids_from_mask(self.altered_span_mask())
+
+    def total_corruptions(self) -> int:
+        """Total number of corrupted receptions at this round (summed over receivers)."""
+        if self.sho_masks is self.ho_masks:  # shared perfect-round tuple
+            return 0
+        return sum((ho & ~sho).bit_count() for ho, sho in zip(self.ho_masks, self.sho_masks))
+
+    def max_aho(self) -> int:
+        """``max_p |AHO(p, r)|`` — the per-receiver corruption peak of this round."""
+        if not self.ho_masks or self.sho_masks is self.ho_masks:
+            return 0
+        return max((ho & ~sho).bit_count() for ho, sho in zip(self.ho_masks, self.sho_masks))
+
+
 @dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(_MaskRoundView):
     """Everything observable about a single round of a run.
 
     Attributes
@@ -279,6 +337,21 @@ class RoundRecord:
     def processes(self) -> FrozenSet[ProcessId]:
         return frozenset(self.receptions)
 
+    @cached_property
+    def receivers(self) -> Tuple[ProcessId, ...]:
+        """The receivers in ``receptions`` order; the mask tuples align with it."""
+        return tuple(self.receptions)
+
+    @cached_property
+    def ho_masks(self) -> Tuple[int, ...]:
+        """``HO`` of each of :attr:`receivers` as a bitmask, computed once."""
+        return tuple(mask_from_ids(rv.received) for rv in self.receptions.values())
+
+    @cached_property
+    def sho_masks(self) -> Tuple[int, ...]:
+        """``SHO`` of each of :attr:`receivers` as a bitmask, computed once."""
+        return tuple(mask_from_ids(rv.safe_heard_of) for rv in self.receptions.values())
+
     def ho(self, receiver: ProcessId) -> FrozenSet[ProcessId]:
         """``HO(receiver, round_num)``."""
         return self.receptions[receiver].heard_of
@@ -297,33 +370,11 @@ class RoundRecord:
     def sho_sets(self) -> Dict[ProcessId, FrozenSet[ProcessId]]:
         return {p: rv.safe_heard_of for p, rv in self.receptions.items()}
 
-    def kernel(self) -> FrozenSet[ProcessId]:
-        """``K(r)``: processes heard of by every receiver at this round."""
-        return kernel(self.ho_sets())
-
-    def safe_kernel(self) -> FrozenSet[ProcessId]:
-        """``SK(r)``: processes safely heard of by every receiver."""
-        return safe_kernel(self.sho_sets())
-
-    def altered_span(self) -> FrozenSet[ProcessId]:
-        """``AS(r)``: processes from which someone received a corrupted message."""
-        return altered_span(self.ho_sets(), self.sho_sets())
-
-    def total_corruptions(self) -> int:
-        """Total number of corrupted receptions at this round (summed over receivers)."""
-        return sum(len(rv.altered_heard_of) for rv in self.receptions.values())
-
     def total_omissions(self) -> int:
         """Total number of messages not received at this round."""
         return sum(
             len(rv.intended) - len(rv.received) for rv in self.receptions.values()
         )
-
-    def max_aho(self) -> int:
-        """``max_p |AHO(p, r)|`` — the per-receiver corruption peak of this round."""
-        if not self.receptions:
-            return 0
-        return max(len(rv.altered_heard_of) for rv in self.receptions.values())
 
 
 # ----------------------------------------------------------------------
@@ -410,7 +461,7 @@ class MaskReception:
         return ids_from_mask(self.ho_mask & ~self.sho_mask)
 
 
-class MaskRoundRecord:
+class MaskRoundRecord(_MaskRoundView):
     """Bitmask counterpart of :class:`RoundRecord` for broadcast rounds.
 
     The fast backend executes algorithms whose sending function
@@ -537,6 +588,10 @@ class MaskRoundRecord:
     def processes(self) -> FrozenSet[ProcessId]:
         return frozenset(range(self.n))
 
+    @property
+    def receivers(self) -> range:
+        return range(self.n)
+
     def ho(self, receiver: ProcessId) -> FrozenSet[ProcessId]:
         return ids_from_mask(self.ho_masks[receiver])
 
@@ -552,54 +607,11 @@ class MaskRoundRecord:
     def sho_sets(self) -> Dict[ProcessId, FrozenSet[ProcessId]]:
         return {p: self.sho(p) for p in range(self.n)}
 
-    def kernel_mask(self) -> int:
-        result = full_mask(self.n) if self.n else 0
-        for mask in self.ho_masks:
-            result &= mask
-        return result
-
-    def safe_kernel_mask(self) -> int:
-        result = full_mask(self.n) if self.n else 0
-        for mask in self.sho_masks:
-            result &= mask
-        return result
-
-    def altered_span_mask(self) -> int:
-        # Perfect rounds share one tuple object for HO and SHO (both
-        # engines' fast paths) — nothing was altered, skip the walk.
-        if self.sho_masks is self.ho_masks:
-            return 0
-        span = 0
-        for ho, sho in zip(self.ho_masks, self.sho_masks):
-            span |= ho & ~sho
-        return span
-
-    def kernel(self) -> FrozenSet[ProcessId]:
-        return ids_from_mask(self.kernel_mask())
-
-    def safe_kernel(self) -> FrozenSet[ProcessId]:
-        return ids_from_mask(self.safe_kernel_mask())
-
-    def altered_span(self) -> FrozenSet[ProcessId]:
-        return ids_from_mask(self.altered_span_mask())
-
-    def total_corruptions(self) -> int:
-        if self.sho_masks is self.ho_masks:  # shared perfect-round tuple
-            return 0
-        return sum((ho & ~sho).bit_count() for ho, sho in zip(self.ho_masks, self.sho_masks))
-
     def total_omissions(self) -> int:
         # sum(n - popcount(ho)) with the popcounts folded in one C-level
         # map pass — these totals run once per record per metrics call,
         # the hottest scalar loop of a large fault-free sweep.
         return self.n * self.n - sum(map(int.bit_count, self.ho_masks))
-
-    def max_aho(self) -> int:
-        if not self.n:
-            return 0
-        if self.sho_masks is self.ho_masks:  # shared perfect-round tuple
-            return 0
-        return max((ho & ~sho).bit_count() for ho, sho in zip(self.ho_masks, self.sho_masks))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<MaskRoundRecord r={self.round_num} n={self.n}>"
@@ -672,49 +684,29 @@ class HeardOfCollection:
         return self[r].aho(p)
 
     # -- global derived sets ---------------------------------------------------
-    # Mask-backed records (the fast/batch backends) expose their
-    # per-round reductions as bitmask ints; folding those directly and
-    # converting once avoids materialising a frozenset per round.  A
-    # collection mixing in matrix-backed rounds falls back to set
-    # algebra for the whole prefix.
-    def _fold_masks(self, accessor: str, initial: int, op) -> Optional[int]:
-        result = initial
-        for record in self._rounds:
-            mask_of = getattr(record, accessor, None)
-            if mask_of is None:
-                return None
-            result = op(result, mask_of())
-        return result
-
+    # Every record type exposes its per-round reductions as bitmask
+    # ints; folding those and converting once avoids materialising a
+    # frozenset per round.
     def global_kernel(self) -> FrozenSet[ProcessId]:
         """``K``: processes heard by everyone at every recorded round."""
-        folded = self._fold_masks("kernel_mask", full_mask(self.n), int.__and__)
-        if folded is not None:
-            return ids_from_mask(folded)
-        result = self.processes
+        result = full_mask(self.n)
         for record in self._rounds:
-            result &= record.kernel()
-        return result
+            result &= record.kernel_mask()
+        return ids_from_mask(result)
 
     def global_safe_kernel(self) -> FrozenSet[ProcessId]:
         """``SK``: processes safely heard by everyone at every recorded round."""
-        folded = self._fold_masks("safe_kernel_mask", full_mask(self.n), int.__and__)
-        if folded is not None:
-            return ids_from_mask(folded)
-        result = self.processes
+        result = full_mask(self.n)
         for record in self._rounds:
-            result &= record.safe_kernel()
-        return result
+            result &= record.safe_kernel_mask()
+        return ids_from_mask(result)
 
     def global_altered_span(self) -> FrozenSet[ProcessId]:
         """``AS``: processes that emitted at least one corrupted message, ever."""
-        folded = self._fold_masks("altered_span_mask", 0, int.__or__)
-        if folded is not None:
-            return ids_from_mask(folded)
-        span: Set[ProcessId] = set()
+        span = 0
         for record in self._rounds:
-            span |= record.altered_span()
-        return frozenset(span)
+            span |= record.altered_span_mask()
+        return ids_from_mask(span)
 
     # -- aggregate statistics --------------------------------------------------
     def max_aho(self) -> int:

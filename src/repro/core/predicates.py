@@ -36,6 +36,11 @@ Predicates are evaluated over finite run prefixes
 (:class:`repro.core.heardof.HeardOfCollection`).  "Eventually"-style
 clauses are interpreted as "within the recorded horizon"; this is the
 standard finite-trace reading and is what simulations can observe.
+
+Every predicate reads a round through its ``receivers`` and the aligned
+``ho_masks``/``sho_masks`` bitmask tuples, which both record types
+expose, so set cardinalities are popcounts and no reception vector is
+materialised.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, List, Optional, Sequence, Union
 
-from repro.core.heardof import HeardOfCollection, RoundRecord
+from repro.core.heardof import HeardOfCollection, RoundRecord, ids_from_mask, iter_mask
 
 Number = Union[int, float, Fraction]
 
@@ -181,11 +186,11 @@ class AlphaSafePredicate(CommunicationPredicate):
     def violations(self, collection: HeardOfCollection) -> List[str]:
         result = []
         for record in collection:
-            for pid, rv in record.receptions.items():
-                aho = rv.altered_heard_of
-                if len(aho) > self.alpha:
+            for pid, ho, sho in zip(record.receivers, record.ho_masks, record.sho_masks):
+                altered = (ho & ~sho).bit_count()
+                if altered > self.alpha:
                     result.append(
-                        f"round {record.round_num}: |AHO({pid})| = {len(aho)} > {self.alpha}"
+                        f"round {record.round_num}: |AHO({pid})| = {altered} > {self.alpha}"
                     )
         return result
 
@@ -228,11 +233,12 @@ class BenignPredicate(CommunicationPredicate):
     def violations(self, collection: HeardOfCollection) -> List[str]:
         result = []
         for record in collection:
-            for pid, rv in record.receptions.items():
-                if rv.altered_heard_of:
+            for pid, ho, sho in zip(record.receivers, record.ho_masks, record.sho_masks):
+                altered = ho & ~sho
+                if altered:
                     result.append(
                         f"round {record.round_num}: process {pid} received corrupted "
-                        f"messages from {sorted(rv.altered_heard_of)}"
+                        f"messages from {list(iter_mask(altered))}"
                     )
         return result
 
@@ -289,21 +295,19 @@ class ALivePredicate(CommunicationPredicate):
 
         A candidate ``Π²`` must be the common value of ``HO(p, r)`` and
         ``SHO(p, r)`` for every member of ``Π¹``; we group processes by
-        their (HO = SHO) set and look for a group that is large enough
-        and whose common set is large enough.
+        their (HO = SHO) mask, in receiver order, and return the first
+        group that is large enough and whose common set is large enough.
         """
         groups: dict = {}
-        for pid, rv in record.receptions.items():
-            ho = rv.heard_of
-            if ho != rv.safe_heard_of:
-                continue
-            groups.setdefault(ho, set()).add(pid)
+        for pid, ho, sho in zip(record.receivers, record.ho_masks, record.sho_masks):
+            if ho == sho:
+                groups.setdefault(ho, []).append(pid)
         for pi2, pi1 in groups.items():
-            if len(pi1) > self.enough - self.alpha and len(pi2) > self.threshold:
+            if len(pi1) > self.enough - self.alpha and pi2.bit_count() > self.threshold:
                 return GoodRoundWitness(
                     round_num=record.round_num,
                     pi1=frozenset(pi1),
-                    pi2=frozenset(pi2),
+                    pi2=ids_from_mask(pi2),
                 )
         return None
 
@@ -322,32 +326,35 @@ class ALivePredicate(CommunicationPredicate):
 
     def violations(self, collection: HeardOfCollection) -> List[str]:
         result: List[str] = []
-        witnesses = self.good_rounds(collection)
-        if not witnesses:
+        first_good = next(
+            (record.round_num for record in collection if self.good_round_witness(record)),
+            None,
+        )
+        if first_good is None:
             result.append(
                 "no uniformisation round: no round r with Π¹, Π² such that "
                 f"|Π¹| > E−α = {self.enough}-{self.alpha} and |Π²| > T = {self.threshold} "
                 "and HO = SHO = Π² for all of Π¹"
             )
             return result
-        first_good = witnesses[0].round_num
+        # Processes with some later round where |HO| > T, resp. |SHO| > E.
+        live_ho = set()
+        live_sho = set()
+        for record in collection:
+            if record.round_num <= first_good:
+                continue
+            for pid, ho, sho in zip(record.receivers, record.ho_masks, record.sho_masks):
+                if ho.bit_count() > self.threshold:
+                    live_ho.add(pid)
+                if sho.bit_count() > self.enough:
+                    live_sho.add(pid)
         for pid in range(collection.n):
-            has_ho = any(
-                len(record.ho(pid)) > self.threshold
-                for record in collection
-                if record.round_num > first_good
-            )
-            if not has_ho:
+            if pid not in live_ho:
                 result.append(
                     f"process {pid} never hears of more than T = {self.threshold} "
                     f"processes after round {first_good}"
                 )
-            has_sho = any(
-                len(record.sho(pid)) > self.enough
-                for record in collection
-                if record.round_num > first_good
-            )
-            if not has_sho:
+            if pid not in live_sho:
                 result.append(
                     f"process {pid} never safely hears of more than E = {self.enough} "
                     f"processes after round {first_good}"
@@ -374,27 +381,21 @@ class USafePredicate(CommunicationPredicate):
         self.name = f"P^U,safe(min |SHO| > {self.minimum})"
 
     def holds(self, collection: HeardOfCollection) -> bool:
-        return all(
-            len(rv.safe_heard_of) > self.minimum
-            for record in collection
-            for rv in record.receptions.values()
-        )
+        return all(self.check_round(record) for record in collection)
 
     def violations(self, collection: HeardOfCollection) -> List[str]:
         result = []
         for record in collection:
-            for pid, rv in record.receptions.items():
-                if len(rv.safe_heard_of) <= self.minimum:
+            for pid, sho in zip(record.receivers, record.sho_masks):
+                if sho.bit_count() <= self.minimum:
                     result.append(
                         f"round {record.round_num}: |SHO({pid})| = "
-                        f"{len(rv.safe_heard_of)} <= {self.minimum}"
+                        f"{sho.bit_count()} <= {self.minimum}"
                     )
         return result
 
     def check_round(self, record: RoundRecord) -> Optional[bool]:
-        return all(
-            len(rv.safe_heard_of) > self.minimum for rv in record.receptions.values()
-        )
+        return all(sho.bit_count() > self.minimum for sho in record.sho_masks)
 
 
 @dataclass(frozen=True)
@@ -437,25 +438,15 @@ class ULivePredicate(CommunicationPredicate):
         if round_2phi + 2 > collection.num_rounds or round_2phi < 1:
             return None
         record = collection[round_2phi]
-        pi0: Optional[FrozenSet[int]] = None
-        for pid in range(collection.n):
-            rv = record.receptions[pid]
-            if rv.heard_of != rv.safe_heard_of:
-                return None
-            if pi0 is None:
-                pi0 = rv.heard_of
-            elif rv.heard_of != pi0:
-                return None
-        if pi0 is None:
+        ho_masks = record.ho_masks
+        if not ho_masks or record.sho_masks != ho_masks or len(set(ho_masks)) != 1:
             return None
-        next_first = collection[round_2phi + 1]
-        next_second = collection[round_2phi + 2]
-        for pid in range(collection.n):
-            if len(next_first.sho(pid)) <= self.threshold:
-                return None
-            if len(next_second.sho(pid)) <= max(self.enough, self.alpha):
-                return None
-        return GoodPhaseWitness(phase=phase, pi0=pi0)
+        bound = max(self.enough, self.alpha)
+        if any(sho.bit_count() <= self.threshold for sho in collection[round_2phi + 1].sho_masks):
+            return None
+        if any(sho.bit_count() <= bound for sho in collection[round_2phi + 2].sho_masks):
+            return None
+        return GoodPhaseWitness(phase=phase, pi0=ids_from_mask(ho_masks[0]))
 
     def good_phases(self, collection: HeardOfCollection) -> List[GoodPhaseWitness]:
         witnesses = []
@@ -523,19 +514,19 @@ class ByzantineAsynchronousPredicate(CommunicationPredicate):
 
     def holds(self, collection: HeardOfCollection) -> bool:
         ho_ok = all(
-            len(rv.heard_of) >= self.n - self.f
+            ho.bit_count() >= self.n - self.f
             for record in collection
-            for rv in record.receptions.values()
+            for ho in record.ho_masks
         )
         return ho_ok and len(collection.global_altered_span()) <= self.f
 
     def violations(self, collection: HeardOfCollection) -> List[str]:
         result = []
         for record in collection:
-            for pid, rv in record.receptions.items():
-                if len(rv.heard_of) < self.n - self.f:
+            for pid, ho in zip(record.receivers, record.ho_masks):
+                if ho.bit_count() < self.n - self.f:
                     result.append(
-                        f"round {record.round_num}: |HO({pid})| = {len(rv.heard_of)} "
+                        f"round {record.round_num}: |HO({pid})| = {ho.bit_count()} "
                         f"< n - f = {self.n - self.f}"
                     )
         span = collection.global_altered_span()

@@ -245,30 +245,27 @@ def _record_from_result(result: SimulationResult, task: RunTask) -> RunRecord:
     )
 
 
-def _planned_rounds(results: Sequence[SimulationResult]) -> int:
-    """Rounds the batch backend fault-scheduled array-at-a-time.
+def _engine_stats(results: Sequence[SimulationResult]) -> RunnerStats:
+    """The engine-side counters of batch-executed runs, as a stats delta.
 
-    Batch-capable backends report the count per run as
-    ``metadata["batch_planned_rounds"]``; runs planned per run (no batch
-    planner registered for their adversary class) report 0 or nothing.
+    Batch-capable backends report per run, in result metadata, the
+    rounds a batch planner scheduled array-at-a-time
+    (``batch_planned_rounds``), a memory-budget split marker
+    (``batch_chunks``: a group split into k chunks under
+    ``REPRO_BATCH_MEMORY_BUDGET`` carries k - 1 markers) and whether
+    :class:`~repro.adversary.plan.MatrixPlanAdapter` planned the run
+    (``adapter_planned``).  Other backends report nothing, read as 0.
     """
-    return sum(result.metadata.get("batch_planned_rounds", 0) for result in results)
-
-
-def _chunk_splits(results: Sequence[SimulationResult]) -> int:
-    """Memory-budget splits the batch backend performed for these runs.
-
-    The batch engine marks one result per extra chunk with
-    ``metadata["batch_chunks"] = 1`` (a group split into k chunks under
-    ``REPRO_BATCH_MEMORY_BUDGET`` carries k - 1 markers); unchunked
-    groups and other backends report nothing.
-    """
-    return sum(result.metadata.get("batch_chunks", 0) for result in results)
+    return RunnerStats(
+        batch_planned=sum(r.metadata.get("batch_planned_rounds", 0) for r in results),
+        batch_chunks=sum(r.metadata.get("batch_chunks", 0) for r in results),
+        adapter_planned=sum(bool(r.metadata.get("adapter_planned")) for r in results),
+    )
 
 
 def _run_task_batch(
     tasks_with_index: Sequence[Tuple[int, RunTask]], capture_errors: bool
-) -> Tuple[List[Tuple[int, RunRecord]], int, int]:
+) -> Tuple[List[Tuple[int, RunRecord]], RunnerStats]:
     """Execute one same-backend task group through ``run_batch``.
 
     A batch aborts as a unit, and the aborted group may already have
@@ -276,8 +273,8 @@ def _run_task_batch(
     schedules are reset (their documented replay contract) and the
     group re-executes run by run, isolating the failing run exactly as
     per-run dispatch would.  Returns the indexed records plus the
-    group's batch-planned round count and memory-budget split count
-    (both 0 on the recovery path).
+    group's engine counters (:func:`_engine_stats`; all 0 on the
+    recovery path).
     """
     pairs = list(tasks_with_index)
     chosen = _task_backend(pairs[0][1])
@@ -291,22 +288,20 @@ def _run_task_batch(
                 _record_worker((index, task, None, capture_errors))
                 for index, task in pairs
             ],
-            0,
-            0,
+            RunnerStats(),
         )
     return (
         [
             (index, _record_from_result(result, task))
             for (index, task), result in zip(pairs, results)
         ],
-        _planned_rounds(results),
-        _chunk_splits(results),
+        _engine_stats(results),
     )
 
 
 def _record_batch_worker(
     payload: Tuple[Sequence[Tuple[int, RunTask]], bool]
-) -> Tuple[List[Tuple[int, RunRecord]], int, int]:
+) -> Tuple[List[Tuple[int, RunRecord]], RunnerStats]:
     """Worker: run one batch chunk and return its records, indexed."""
     tasks_with_index, capture_errors = payload
     return _run_task_batch(tasks_with_index, capture_errors)
@@ -611,9 +606,8 @@ class CampaignRunner:
             self.stats.batched += len(group)
             for chunk in _batch_chunks(group, self.jobs):
                 batch_payloads.append((chunk, capture_errors))
-        for pairs, planned, chunks in self._run_payloads(_record_batch_worker, batch_payloads):
-            self.stats.batch_planned += planned
-            self.stats.batch_chunks += chunks
+        for pairs, engine_stats in self._run_payloads(_record_batch_worker, batch_payloads):
+            self.stats.merge(engine_stats)
             for index, record in pairs:
                 _store(index, record)
 
@@ -716,8 +710,7 @@ class CampaignRunner:
                     task.adversary.reset()
                 singles.extend(group)
                 continue
-            self.stats.batch_planned += _planned_rounds(results)
-            self.stats.batch_chunks += _chunk_splits(results)
+            self.stats.merge(_engine_stats(results))
             for (index, task, key), result in zip(group, results):
                 try:
                     data = reducer.reduce(result)
@@ -775,8 +768,7 @@ class CampaignRunner:
                     results[index] = result
                 batched.update(indices)
                 self.stats.batched += len(indices)
-                self.stats.batch_planned += _planned_rounds(batch_results)
-                self.stats.batch_chunks += _chunk_splits(batch_results)
+                self.stats.merge(_engine_stats(batch_results))
             for index, task in enumerate(tasks):
                 if index not in batched:
                     results[index] = _execute_task(task, self.timeout)

@@ -723,8 +723,8 @@ FLEET_METRICS: Tuple[FleetMetricSpec, ...] = (
         kind="counter",
         help="RunnerStats counters folded in from executed units; the "
         "'counter' label names the RunnerStats field (executed, batched, "
-        "batch_planned, batch_chunks, cache_hits, cache_misses, failures, "
-        "timeouts, total).",
+        "batch_planned, batch_chunks, adapter_planned, cache_hits, "
+        "cache_misses, failures, timeouts, total).",
         labelnames=("counter",),
     ),
     FleetMetricSpec(

@@ -513,10 +513,11 @@ class _BatchAteKernel(_BatchKernel):
     def step_round(self, round_num, act, recv, adjust, sent_act) -> None:
         counts, heard = self._counts(sent_act, recv, adjust)
         update_flag = heard > self.threshold[act]
-        x_update = update_flag & (heard > 0)
         best = counts.max(axis=2)
         candidates = (counts == best[..., None]) & (counts > 0)
         _, x_code = _select_min(candidates, self.book.sort_ranks(), len(self.book.values))
+        # A None winner leaves the estimate as is, as in AteProcess.
+        x_update = update_flag & (heard > 0) & (x_code != self.book.none_code)
         self.xs[act] = np.where(x_update, x_code, self.xs[act])
 
         eligible = self._decision_eligible(act) & (update_flag | ~self.nested[act])
@@ -997,12 +998,13 @@ def _run_group(
                 config=request.config,
                 algorithm_name=request.algorithm.describe(),
                 adversary_name=request.adversary.describe(),
-                # batch_planned_rounds feeds the runner's batch_planned
-                # stat; it never enters records, so byte-identity across
-                # backends is unaffected.
+                # batch_planned_rounds and adapter_planned feed the
+                # runner's stats; they never enter records, so
+                # byte-identity across backends is unaffected.
                 metadata={
                     "engine": "batch",
                     "batch_planned_rounds": batch_planned_rounds[pos],
+                    "adapter_planned": pos in planners and planners[pos].adapter_planned,
                 },
             )
         )

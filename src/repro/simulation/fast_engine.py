@@ -214,5 +214,7 @@ def run_algorithm_fast(
         config=config,
         algorithm_name=algorithm.describe(),
         adversary_name=adversary.describe(),
-        metadata={"engine": "fast"},
+        # adapter_planned feeds the runner's adapter_planned stat; it
+        # never enters records.
+        metadata={"engine": "fast", "adapter_planned": planner.adapter_planned},
     )

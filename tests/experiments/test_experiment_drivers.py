@@ -6,6 +6,8 @@ rows are fully safe), using smaller run counts than the benchmark
 defaults so the whole module stays fast.
 """
 
+import pytest
+
 from repro.experiments import (
     ALL_EXPERIMENTS,
     alive_predicate_effect,
@@ -37,6 +39,23 @@ class TestReportInfrastructure:
         payload = report.to_json(tmp_path / "out" / "report.json")
         assert (tmp_path / "out" / "report.json").exists()
         assert '"experiment_id": "EX"' in payload
+
+
+class TestNativePlanning:
+    def test_paper_campaign_plans_no_run_through_the_adapter(self):
+        """Every adversary stack E1-E12 builds has a native planner, so
+        no batch-engine run falls back to ``MatrixPlanAdapter``."""
+        pytest.importorskip("numpy")
+        from repro.runner import CampaignRunner
+
+        for experiment_id, driver in ALL_EXPERIMENTS.items():
+            runner = CampaignRunner(backend="batch")
+            try:
+                driver(runner=runner, runs=1)
+            finally:
+                runner.close()
+            assert runner.stats.batched > 0, experiment_id
+            assert runner.stats.adapter_planned == 0, experiment_id
 
 
 class TestTable1Drivers:

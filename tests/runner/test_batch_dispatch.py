@@ -8,7 +8,7 @@ execution — cache, stats and ordering included.
 
 import pytest
 
-from repro.adversary import RandomOmissionAdversary, ReliableAdversary
+from repro.adversary import CrashAdversary, RandomOmissionAdversary, ReliableAdversary
 from repro.algorithms import AteAlgorithm, PhaseKingAlgorithm
 from repro.runner import CampaignRunner, DecisionReducer, RunTask
 from repro.runner.executor import cacheable_key
@@ -21,7 +21,7 @@ np = pytest.importorskip("numpy")
 def make_task(n=6, seed=0, key=None, backend=None, **kwargs):
     return RunTask(
         algorithm=AteAlgorithm.symmetric(n=n, alpha=1),
-        adversary=RandomOmissionAdversary(0.2, seed=seed),
+        adversary=kwargs.pop("adversary", None) or RandomOmissionAdversary(0.2, seed=seed),
         initial_values=generators.uniform_random(n, seed=seed),
         max_rounds=kwargs.pop("max_rounds", 20),
         key=key,
@@ -126,6 +126,22 @@ class TestRunTasksBatching:
             # Planner counts survive the worker-process round trip.
             assert runner.stats.batch_planned == sum(r.rounds_executed for r in pooled)
         assert dump(pooled) == dump(serial)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_adapter_planned_runs_are_counted(self, jobs):
+        """Runs whose adversary has no native planner take the matrix
+        adapter; the stats line says how many, across worker processes."""
+        tasks = [make_task(seed=s) for s in range(3)]
+        for seed in (3, 4):
+            tasks.append(make_task(seed=seed, adversary=CrashAdversary({0: 2})))
+        with CampaignRunner(backend="batch", jobs=jobs) as runner:
+            runner.run_tasks(tasks)
+            assert runner.stats.adapter_planned == 2
+            assert "adapter_planned=2" in runner.stats.summary()
+        native = CampaignRunner(backend="batch")
+        native.run_tasks([make_task(seed=s) for s in range(3)])
+        assert native.stats.adapter_planned == 0
+        assert "adapter_planned=" not in native.stats.summary()
 
     def test_timeout_disables_batching(self):
         runner = CampaignRunner(backend="batch", timeout=30.0)

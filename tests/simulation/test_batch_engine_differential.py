@@ -24,15 +24,17 @@ from test_fast_engine_differential import (
     ADVERSARIES,
     ALGORITHMS,
     MAX_ROUNDS,
+    NONE_SENSITIVE,
     assert_equivalent,
 )
 
 
 def run_reference_and_batch(algorithm_factory, adversary_factory, n, seed=42,
-                            **config_kwargs):
+                            initial_values=None, **config_kwargs):
     config_kwargs.setdefault("max_rounds", MAX_ROUNDS)
     config = SimulationConfig(record_states=False, **config_kwargs)
-    initial_values = generators.uniform_random(n, seed=seed)
+    if initial_values is None:
+        initial_values = generators.uniform_random(n, seed=seed)
     reference = run_simulation(
         algorithm_factory(n), initial_values, adversary_factory(n), config,
         backend="reference",
@@ -51,6 +53,17 @@ def run_reference_and_batch(algorithm_factory, adversary_factory, n, seed=42,
 def test_differential_grid(algorithm_name, adversary_name, n):
     reference, batch = run_reference_and_batch(
         ALGORITHMS[algorithm_name], ADVERSARIES[adversary_name], n
+    )
+    assert_equivalent(reference, batch)
+
+
+@pytest.mark.parametrize("n", [4, 10, 30])
+@pytest.mark.parametrize("adversary_name", NONE_SENSITIVE)
+@pytest.mark.parametrize("algorithm_name", sorted(ALGORITHMS))
+def test_differential_grid_none_initial_values(algorithm_name, adversary_name, n):
+    reference, batch = run_reference_and_batch(
+        ALGORITHMS[algorithm_name], ADVERSARIES[adversary_name], n,
+        initial_values={pid: None for pid in range(n)},
     )
     assert_equivalent(reference, batch)
 

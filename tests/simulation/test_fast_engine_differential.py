@@ -16,7 +16,9 @@ from repro.adversary import (
     BlockFaultAdversary,
     BoundedOmissionAdversary,
     CrashAdversary,
+    LatencyAdversary,
     MinimumSafeDeliveryAdversary,
+    PartialGoodRoundAdversary,
     PartitionAdversary,
     PeriodicGoodPhaseAdversary,
     PeriodicGoodRoundAdversary,
@@ -101,12 +103,40 @@ ADVERSARIES = {
     "static-byzantine": lambda n: StaticByzantineAdversary(
         byzantine=range(1), value_domain=(0, 1), seed=7
     ),
+    # symmetric mode draws one discarded value per Byzantine edge
+    "static-byzantine-symmetric": lambda n: StaticByzantineAdversary(
+        byzantine=(0, n - 1, n + 2), equivocate=False, value_domain=(0, 1), seed=7
+    ),
+    "static-byzantine-drops": lambda n: StaticByzantineAdversary(
+        byzantine=range(2), drop_probability=0.3, value_domain=(0, 1), seed=7
+    ),
     # liveness wrappers
     "good-rounds": lambda n: PeriodicGoodRoundAdversary(
         inner=RandomCorruptionAdversary(alpha=1, value_domain=(0, 1), seed=7), period=4
     ),
+    "good-rounds-omission": lambda n: PeriodicGoodRoundAdversary(
+        inner=RandomOmissionAdversary(0.3, seed=7), period=3
+    ),
     "good-phases": lambda n: PeriodicGoodPhaseAdversary(
         inner=RandomCorruptionAdversary(alpha=1, value_domain=(0, 1), seed=7), period=3
+    ),
+    # the E4/E10 nesting
+    "good-phases-min-safe": lambda n: PeriodicGoodPhaseAdversary(
+        inner=MinimumSafeDeliveryAdversary(
+            inner=RandomCorruptionAdversary(
+                alpha=1, drop_probability=0.4, value_domain=(0, 1), seed=7
+            ),
+            minimum=n // 2 + 1,
+        ),
+        period=3,
+    ),
+    "partial-good-round": lambda n: PartialGoodRoundAdversary(
+        inner=RandomCorruptionAdversary(
+            alpha=1, drop_probability=0.2, value_domain=(0, 1), seed=7
+        ),
+        pi1=range(n // 2 + 1),
+        pi2=range(1, n),
+        period=3,
     ),
     # combinators (adversary/compose.py)
     "alpha-cap": lambda n: AlphaCapAdversary(
@@ -124,13 +154,26 @@ ADVERSARIES = {
     "round-schedule": lambda n: RoundScheduleAdversary(
         schedule=lambda r: RandomOmissionAdversary(0.3, seed=7) if r % 3 == 0 else None
     ),
+    "latency": lambda n: LatencyAdversary(
+        inner=RandomCorruptionAdversary(alpha=1, value_domain=(0, 1), seed=7),
+        delay_per_round=0,
+    ),
 }
 
+#: Families whose planning still goes through ``MatrixPlanAdapter``.
+ADAPTER_ONLY = {"bounded-omission", "crash", "unbounded-corruption"}
 
-def run_both(algorithm_factory, adversary_factory, n, seed=42, **config_kwargs):
+#: Families whose wrappers skip senders with a ``None`` intended
+#: payload; the grid also runs them from all-``None`` initial values.
+NONE_SENSITIVE = ("alpha-cap", "min-safe-delivery", "partial-good-round")
+
+
+def run_both(algorithm_factory, adversary_factory, n, seed=42, initial_values=None,
+             **config_kwargs):
     config_kwargs.setdefault("max_rounds", MAX_ROUNDS)
     config = SimulationConfig(record_states=False, **config_kwargs)
-    initial_values = generators.uniform_random(n, seed=seed)
+    if initial_values is None:
+        initial_values = generators.uniform_random(n, seed=seed)
     reference = run_simulation(
         algorithm_factory(n), initial_values, adversary_factory(n), config,
         backend="reference",
@@ -190,6 +233,19 @@ def test_differential_grid(algorithm_name, adversary_name, n):
     assert_equivalent(reference, fast)
 
 
+@pytest.mark.parametrize("n", [4, 10, 30])
+@pytest.mark.parametrize("adversary_name", NONE_SENSITIVE)
+@pytest.mark.parametrize("algorithm_name", sorted(ALGORITHMS))
+def test_differential_grid_none_initial_values(algorithm_name, adversary_name, n):
+    """``None`` intended payloads are never counted or restored by the
+    wrappers; their native planners must skip them the same way."""
+    reference, fast = run_both(
+        ALGORITHMS[algorithm_name], ADVERSARIES[adversary_name], n,
+        initial_values={pid: None for pid in range(n)},
+    )
+    assert_equivalent(reference, fast)
+
+
 class TestNativePlannerSelection:
     """The grid families with native planners must actually use them
     (otherwise the differential grid silently gates only the adapter)."""
@@ -197,6 +253,7 @@ class TestNativePlannerSelection:
     def test_native_families_get_native_planners(self):
         from repro.adversary.plan import (
             BlockFaultPlanner,
+            MatrixPlanAdapter,
             RandomCorruptionPlanner,
             RandomOmissionPlanner,
             ReliablePlanner,
@@ -217,18 +274,47 @@ class TestNativePlannerSelection:
         for name, planner_type in expected.items():
             planner = planner_for(ADVERSARIES[name](6), 6)
             assert type(planner) is planner_type, name
+        for name, factory in ADVERSARIES.items():
+            planner = planner_for(factory(6), 6)
+            if name in ADAPTER_ONLY:
+                assert type(planner) is MatrixPlanAdapter, name
+            else:
+                assert not isinstance(planner, MatrixPlanAdapter), name
+
+    def test_adapter_planned_follows_the_whole_planner_tree(self):
+        from repro.adversary.plan import planner_for
+
+        adapted = set()
+        for name, factory in ADVERSARIES.items():
+            planner = planner_for(factory(6), 6)
+            for round_num in range(1, 8):
+                planner.plan_round(round_num, [0, 1] * 3)
+            if planner.adapter_planned:
+                adapted.add(name)
+        # alpha-cap wraps an unbounded-corruption inner adversary.
+        assert adapted == ADAPTER_ONLY | {"alpha-cap"}
 
     def test_subclasses_fall_back_to_the_adapter(self):
         from repro.adversary.plan import MatrixPlanAdapter, planner_for
 
-        class CustomBlocks(BlockFaultAdversary):
-            pass
-
-        class CustomRotation(RotatingSenderCorruptionAdversary):
-            pass
-
-        assert type(planner_for(CustomBlocks(faults_per_round=2, seed=7), 6)) is MatrixPlanAdapter
-        assert type(planner_for(CustomRotation(alpha=1, seed=7), 6)) is MatrixPlanAdapter
+        inner = ReliableAdversary()
+        for base, adversary in [
+            (BlockFaultAdversary, BlockFaultAdversary(faults_per_round=2, seed=7)),
+            (RotatingSenderCorruptionAdversary, RotatingSenderCorruptionAdversary(alpha=1, seed=7)),
+            (PartitionAdversary, PartitionAdversary([range(3), range(3, 6)])),
+            (SplitVoteAdversary, SplitVoteAdversary(1, value_a=0, value_b=1)),
+            (StaticByzantineAdversary, StaticByzantineAdversary(byzantine=[0], seed=7)),
+            (PeriodicGoodRoundAdversary, PeriodicGoodRoundAdversary(inner, period=2)),
+            (PeriodicGoodPhaseAdversary, PeriodicGoodPhaseAdversary(inner, period=2)),
+            (PartialGoodRoundAdversary, PartialGoodRoundAdversary(inner, [0], [1], period=2)),
+            (SequentialAdversary, SequentialAdversary([(1, inner)])),
+            (RoundScheduleAdversary, RoundScheduleAdversary(lambda r: inner)),
+            (LatencyAdversary, LatencyAdversary(inner, delay_per_round=0)),
+            (AlphaCapAdversary, AlphaCapAdversary(inner, alpha=1)),
+            (MinimumSafeDeliveryAdversary, MinimumSafeDeliveryAdversary(inner, minimum=1)),
+        ]:
+            adversary.__class__ = type("Custom" + base.__name__, (base,), {})
+            assert type(planner_for(adversary, 6)) is MatrixPlanAdapter, base.__name__
 
 
 class TestConfigEdgeCases:
